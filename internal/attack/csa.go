@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -148,44 +149,113 @@ func compact(in *Instance, route []int) {
 }
 
 // packCovers greedily inserts optional sites by marginal utility per
-// marginal joule. The routeState oracle makes each candidate check O(1),
-// keeping the whole pack O(C²·L) instead of O(C²·L²).
+// marginal joule: each round inserts the site and position with the best
+// ratio, ties going to the lower site index, then the lower position.
+//
+// The packer is lazy. It caches each unused site's best insertion and,
+// after each round, re-checks only what the round can have changed. The
+// cost of inserting a site into an edge depends only on the edge's two
+// ends, and an insertion elsewhere only makes every other edge harder to
+// use: later arrivals, less slack, less budget (Validate keeps durations,
+// powers and travel costs non-negative). So a cached edge that
+// still fits stays its site's best among the old edges, and only the
+// round's two new edges can beat it; a site is rescanned only when its
+// edge was split or has stopped fitting. A site that fits nowhere is
+// dropped: by the triangle inequality, fitting it next to the inserted
+// site x, on either side, implies it fitted the edge x split.
 func packCovers(in *Instance, route []int) []int {
-	used := make(map[int]bool, len(route))
-	for _, idx := range route {
-		used[idx] = true
-	}
 	rs := newRouteState(in)
+	if !rs.Recompute(route) {
+		return route
+	}
+	// at[e+1] is the position of the edge leaving endpoint e (-1 is the
+	// depot), i.e. one past e's stop; 0 for sites off the route.
+	at := make([]int, len(in.Sites)+1)
+	for i, idx := range route {
+		at[idx+1] = i + 1
+	}
+	best := make([]coverSlot, len(in.Sites))
+	var cands []int
+	for idx := range in.Sites {
+		if s := &in.Sites[idx]; !s.Mandatory && s.UtilJ > 0 && at[idx+1] == 0 {
+			best[idx] = scanCover(rs, idx)
+			cands = append(cands, idx)
+		}
+	}
 	for {
+		cands = slices.DeleteFunc(cands, func(idx int) bool { return best[idx].ratio == 0 })
+		if len(cands) == 0 {
+			return route
+		}
+		pick := cands[0]
+		for _, idx := range cands[1:] {
+			if best[idx].ratio > best[pick].ratio {
+				pick = idx
+			}
+		}
+		a, pos := best[pick].from, best[pick].pos
+		best[pick] = coverSlot{}
+		route = insertAt(route, pos, pick)
+		for i := pos; i < len(route); i++ {
+			at[route[i]+1] = i + 1
+		}
 		if !rs.Recompute(route) {
 			return route
 		}
-		bestIdx, bestPos, bestRatio := -1, 0, 0.0
-		for idx := range in.Sites {
-			s := &in.Sites[idx]
-			if s.Mandatory || used[idx] || s.UtilJ <= 0 {
-				continue
+		for _, idx := range cands {
+			b := &best[idx]
+			if b.ratio == 0 {
+				continue // the site just placed
 			}
-			for pos := 0; pos <= len(route); pos++ {
-				cost, ok := rs.CheckInsert(pos, idx)
-				if !ok {
+			if b.from != a {
+				b.pos = at[b.from+1]
+				if _, ok := rs.CheckInsert(b.pos, idx); ok {
+					b.offer(rs, idx, pos)
+					b.offer(rs, idx, pos+1)
 					continue
 				}
-				if cost <= 0 {
-					cost = 1e-9 // free insertion: effectively infinite ratio
-				}
-				ratio := s.UtilJ / cost
-				if ratio > bestRatio {
-					bestIdx, bestPos, bestRatio = idx, pos, ratio
-				}
 			}
+			*b = scanCover(rs, idx) // its edge was split or stopped fitting
 		}
-		if bestIdx < 0 {
-			return route
-		}
-		route = insertAt(route, bestPos, bestIdx)
-		used[bestIdx] = true
 	}
+}
+
+// coverSlot is a site's best insertion into the current route: the edge
+// is named by its from-endpoint (-1 for the depot), which survives
+// insertions elsewhere; pos is where that edge sits. ratio 0 means no
+// position fits.
+type coverSlot struct {
+	ratio     float64
+	from, pos int
+}
+
+// offer replaces the slot with the insertion of idx at pos when that is
+// feasible and better by (ratio desc, pos asc).
+func (b *coverSlot) offer(rs *routeState, idx, pos int) {
+	cost, ok := rs.CheckInsert(pos, idx)
+	if !ok {
+		return
+	}
+	if cost <= 0 {
+		cost = 1e-9 // free insertion: effectively infinite ratio
+	}
+	r := rs.in.Sites[idx].UtilJ / cost
+	if r > b.ratio || (r == b.ratio && pos < b.pos) {
+		b.ratio, b.pos, b.from = r, pos, -1
+		if pos > 0 {
+			b.from = rs.route[pos-1]
+		}
+	}
+}
+
+// scanCover finds idx's best insertion over every position that can meet
+// its deadline.
+func scanCover(rs *routeState, idx int) coverSlot {
+	var b coverSlot
+	for pos, last := 0, rs.maxPos(idx); pos <= last; pos++ {
+		b.offer(rs, idx, pos)
+	}
+	return b
 }
 
 // bestSingleCover returns the best plan consisting of the skeleton plus
@@ -202,7 +272,7 @@ func bestSingleCover(in *Instance, skeleton []int) (Plan, bool) {
 		if s.Mandatory || s.UtilJ <= 0 || s.UtilJ <= bestUtil {
 			continue
 		}
-		for pos := 0; pos <= len(skeleton); pos++ {
+		for pos, last := 0, rs.maxPos(idx); pos <= last; pos++ {
 			if _, ok := rs.CheckInsert(pos, idx); ok {
 				bestIdx, bestPos, bestUtil = idx, pos, s.UtilJ
 				break

@@ -1,10 +1,14 @@
 package attack
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
+	"github.com/reprolab/wrsn-csa/internal/mc"
 	"github.com/reprolab/wrsn-csa/internal/rng"
+	"github.com/reprolab/wrsn-csa/internal/trace"
 )
 
 // attackInstance builds a random instance with mandatory targets, as the
@@ -209,5 +213,140 @@ func TestSafeguardAgainstGreedyTrap(t *testing.T) {
 	}
 	if res.Plan.UtilityJ < 100 {
 		t.Fatalf("greedy trap sprung: utility %v, want the 100 J jackpot", res.Plan.UtilityJ)
+	}
+}
+
+// raceBuild is set in builds with the race detector (race_test.go).
+var raceBuild bool
+
+// referencePackCovers is the full-rescan packer that packCovers replaced:
+// every round probes every unused site at every position. It is the
+// oracle the lazy packer must match route for route.
+func referencePackCovers(in *Instance, route []int) []int {
+	used := make(map[int]bool, len(route))
+	for _, idx := range route {
+		used[idx] = true
+	}
+	rs := newRouteState(in)
+	for {
+		if !rs.Recompute(route) {
+			return route
+		}
+		bestIdx, bestPos, bestRatio := -1, 0, 0.0
+		for idx := range in.Sites {
+			s := &in.Sites[idx]
+			if s.Mandatory || used[idx] || s.UtilJ <= 0 {
+				continue
+			}
+			for pos := 0; pos <= len(route); pos++ {
+				cost, ok := rs.CheckInsert(pos, idx)
+				if !ok {
+					continue
+				}
+				if cost <= 0 {
+					cost = 1e-9 // free insertion: effectively infinite ratio
+				}
+				ratio := s.UtilJ / cost
+				if ratio > bestRatio {
+					bestIdx, bestPos, bestRatio = idx, pos, ratio
+				}
+			}
+		}
+		if bestIdx < 0 {
+			return route
+		}
+		route = insertAt(route, bestPos, bestIdx)
+		used[bestIdx] = true
+	}
+}
+
+// checkPackCovers packs covers into in's CSA skeleton with both packers
+// and fails unless they build the same route. It returns the number of
+// covers packed.
+func checkPackCovers(t testing.TB, in *Instance) int {
+	t.Helper()
+	in.EnsureDistIndex()
+	skeleton, _ := buildSkeleton(in)
+	compact(in, skeleton)
+	got := packCovers(in, slices.Clone(skeleton))
+	want := referencePackCovers(in, slices.Clone(skeleton))
+	if !slices.Equal(got, want) {
+		t.Fatalf("lazy packer route %v, full rescan %v", got, want)
+	}
+	return len(got) - len(skeleton)
+}
+
+// packInstance salts a fuzzInstance with the packer's edge cases, chosen
+// by site index: key-node targets, which form the skeleton; zero-power
+// sites on top of another site, whose insertion next to it is free and
+// hits the cost ≤ 0 clamp; zero-utility sites; and exact copies of an
+// earlier site, which tie it on ratio at every edge.
+func packInstance(seed int64, sites int) *Instance {
+	in := fuzzInstance(seed, sites)
+	in.RadiateW = 0 // every site's power is its own PowerW
+	for i := range in.Sites {
+		s := &in.Sites[i]
+		s.PowerW = 50
+		switch i % 7 {
+		case 0:
+			s.Mandatory, s.Kind, s.UtilJ = true, VisitSpoof, 0
+			s.Window.D += 5e4
+		case 2:
+			s.Pos, s.PowerW = in.Sites[i-1].Pos, 0
+		case 4:
+			s.UtilJ = 0
+		case 5:
+			*s = in.Sites[i-3]
+		}
+	}
+	return in
+}
+
+// The lazy packer must reproduce the full rescan exactly on planner
+// instances built from scenarios: three sizes, and budgets from loose to
+// starved (a starved budget makes the budget, not the windows, decide).
+// The full rescan costs ~0.2 s per 400-node instance, so the larger
+// sizes run fewer scenarios.
+func TestPackCoversMatchesReferenceOnScenarios(t *testing.T) {
+	type size struct{ n, seeds int }
+	sizes := []size{{50, 60}, {200, 20}, {400, 3}}
+	if testing.Short() || raceBuild {
+		sizes = []size{{50, 10}, {200, 3}}
+	}
+	packed := 0
+	for _, sz := range sizes {
+		n := sz.n
+		for seed := 1; seed <= sz.seeds; seed++ {
+			nw, _, err := trace.DefaultScenario(uint64(seed), n).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := BuildInstance(nw, mc.New(nw.Sink(), mc.DefaultParams()), BuilderConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := in.BudgetJ
+			for _, f := range []float64{1, 0.3, 0.1, 0.03} {
+				in.BudgetJ = budget * f
+				t.Run(fmt.Sprintf("n=%d/seed=%d/budget=%v", n, seed, f), func(t *testing.T) {
+					packed += checkPackCovers(t, in)
+				})
+			}
+		}
+	}
+	if packed == 0 {
+		t.Fatal("no instance packed a cover; the comparison is vacuous")
+	}
+}
+
+// Same equality on salted random instances: free insertions, zero
+// utility, exact ties, sizes from a handful of sites to a few dozen.
+func TestPackCoversMatchesReferenceOnEdgeCases(t *testing.T) {
+	packed := 0
+	for seed := int64(0); seed < 300; seed++ {
+		packed += checkPackCovers(t, packInstance(seed, 3+int(seed%48)))
+	}
+	if packed == 0 {
+		t.Fatal("no instance packed a cover; the comparison is vacuous")
 	}
 }

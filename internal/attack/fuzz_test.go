@@ -109,6 +109,16 @@ func FuzzRouteOracle(f *testing.F) {
 	})
 }
 
+// FuzzPackCovers checks the lazy cover packer against the full-rescan
+// oracle on salted fuzz instances: both must build the same route.
+func FuzzPackCovers(f *testing.F) {
+	f.Add(int64(1), uint8(12))
+	f.Add(int64(7), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		checkPackCovers(t, packInstance(seed, int(n%48)+3))
+	})
+}
+
 // fuzzInstance derives a deterministic instance from a fuzz seed using a
 // SplitMix64 walk (no rng dependency keeps the corpus stable).
 func fuzzInstance(seed int64, sites int) *Instance {

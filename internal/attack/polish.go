@@ -31,7 +31,7 @@ func PolishPlan(in *Instance, route []int) []int {
 			}
 			withoutEnergy := rs.EnergyJ()
 			bestPos, bestCost, found := -1, 0.0, false
-			for pos := 0; pos <= len(without); pos++ {
+			for pos, last := 0, rs.maxPos(moved); pos <= last; pos++ {
 				cost, ok := rs.CheckInsert(pos, moved)
 				if !ok {
 					continue

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"math"
+	"sort"
 )
 
 // routeState is the incremental feasibility oracle for insertion-heavy
@@ -23,27 +24,34 @@ type routeState struct {
 	radiateJ float64
 }
 
-// newRouteState builds the oracle for the given route, which must be
-// feasible with respect to windows (budget is checked per query).
+// newRouteState builds the oracle for routes over in's sites. The
+// per-stop arrays are sized once to len(in.Sites): a route visits each
+// site at most once, so it can never be longer.
 func newRouteState(in *Instance) *routeState {
-	return &routeState{in: in}
+	n := len(in.Sites)
+	return &routeState{
+		in:     in,
+		arrive: make([]float64, 0, n),
+		begin:  make([]float64, 0, n),
+		end:    make([]float64, 0, n),
+		slack:  make([]float64, 0, n),
+	}
 }
 
-// Recompute refreshes all cached state for the route. It returns false if
-// the route violates a window (the oracle is then unusable).
+// Recompute refreshes all cached state for the route, which must not
+// repeat a site. It returns false if the route violates a window (the
+// oracle is then unusable).
 func (rs *routeState) Recompute(route []int) bool {
 	rs.route = route
 	n := len(route)
-	rs.arrive = resize(rs.arrive, n)
-	rs.begin = resize(rs.begin, n)
-	rs.end = resize(rs.end, n)
-	rs.slack = resize(rs.slack, n)
+	rs.arrive, rs.begin = rs.arrive[:n], rs.begin[:n]
+	rs.end, rs.slack = rs.end[:n], rs.slack[:n]
 	rs.travelM, rs.radiateJ = 0, 0
 
 	prev := -1 // depot
 	t := rs.in.Start
 	for i, idx := range route {
-		s := rs.in.Sites[idx]
+		s := &rs.in.Sites[idx]
 		d := rs.in.dist(prev, idx)
 		rs.travelM += d
 		rs.radiateJ += s.Dur * rs.sitePower(idx)
@@ -60,7 +68,7 @@ func (rs *routeState) Recompute(route []int) bool {
 	// begin by max(0, arrive+δ−begin)… conservatively, waiting absorbs
 	// (begin−arrive) of any delay before it propagates.
 	for i := n - 1; i >= 0; i-- {
-		s := rs.in.Sites[rs.route[i]]
+		s := &rs.in.Sites[rs.route[i]]
 		own := (s.Window.D - s.Dur) - rs.begin[i] // delay stop i itself tolerates
 		down := math.Inf(1)
 		if i+1 < n {
@@ -87,7 +95,7 @@ func (rs *routeState) EnergyJ() float64 {
 // (0 ≤ pos ≤ len(route)) keeps every window and the budget satisfied, and
 // if so returns the marginal energy cost. It runs in O(1).
 func (rs *routeState) CheckInsert(pos, idx int) (float64, bool) {
-	s := rs.in.Sites[idx]
+	s := &rs.in.Sites[idx]
 	from := -1 // depot
 	prevEnd := rs.in.Start
 	if pos > 0 {
@@ -126,9 +134,13 @@ func (rs *routeState) CheckInsert(pos, idx int) (float64, bool) {
 	return addEnergy, true
 }
 
-func resize(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+// maxPos returns the last position at which inserting site idx can meet
+// its own deadline; CheckInsert rejects every later position. Inserting
+// after stop i finishes no earlier than end[i]+Dur, end[] never decreases
+// along the route, and float addition is monotone, so every position
+// after the first stop with end[i]+Dur > D fails the window check
+// exactly as CheckInsert would.
+func (rs *routeState) maxPos(idx int) int {
+	s := &rs.in.Sites[idx]
+	return sort.Search(len(rs.route), func(i int) bool { return rs.end[i]+s.Dur > s.Window.D })
 }

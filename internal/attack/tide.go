@@ -175,6 +175,9 @@ func (in *Instance) Validate() error {
 		if s.Dur < 0 {
 			return fmt.Errorf("attack: site %d (node %d) has negative duration", i, s.Node)
 		}
+		if s.PowerW < 0 {
+			return fmt.Errorf("attack: site %d (node %d) has negative power", i, s.Node)
+		}
 		if s.Window.D < s.Window.R {
 			return fmt.Errorf("attack: site %d (node %d) has inverted window [%v,%v]", i, s.Node, s.Window.R, s.Window.D)
 		}

@@ -152,6 +152,12 @@ func TestValidate(t *testing.T) {
 	if err := in.Validate(); err == nil {
 		t.Error("negative duration accepted")
 	}
+	// A negative-power site would make an insertion free up budget; the
+	// lazy cover packer relies on insertions only using it up.
+	in = simpleInstance(Site{PowerW: -1, Window: Window{R: 0, D: 1}})
+	if err := in.Validate(); err == nil {
+		t.Error("negative power accepted")
+	}
 }
 
 func TestMandatories(t *testing.T) {

@@ -9,8 +9,10 @@
 // reads them in exactly the order a sequential loop would have produced
 // them. When several jobs fail, the error of the lowest-indexed failure
 // is returned — again matching what a sequential run would have seen
-// first. Cancellation (parent context or first failure) stops workers
-// from claiming new jobs; in-flight jobs run to completion.
+// first. A failure stops workers from claiming new jobs and cancels the
+// context of every in-flight job above it; jobs below it run to
+// completion, so a lower-indexed failure is never lost to that
+// cancellation. A canceled parent context reaches every job.
 //
 // Hardening: a panicking job never kills the process — the worker
 // recovers it into a *PanicError carrying the job index and stack.
@@ -96,8 +98,9 @@ type Options struct {
 	// KeepGoing runs every job even after failures: the pool is not
 	// canceled, partial results are returned alongside an aggregate
 	// error (one JobError or PanicError per failed job, joined in index
-	// order). Without it the first failure cancels the pool and only the
-	// lowest-indexed error returns — the classic fail-fast contract.
+	// order). Without it a failure stops the pool, cancels the jobs
+	// above it, and only the lowest-indexed error returns — the classic
+	// fail-fast contract.
 	KeepGoing bool
 }
 
@@ -120,11 +123,11 @@ func Workers(requested, jobs int) int {
 
 // MapTimed runs fn(ctx, i) for every i in [0, n) over a pool of at most
 // `workers` goroutines (non-positive: GOMAXPROCS) and returns the results
-// indexed by job, each with its elapsed wall clock. The first failure
-// cancels the pool's context so outstanding jobs can abort promptly; the
-// returned error is the lowest-indexed one, which is what a sequential
-// run would have hit first. A canceled parent context surfaces as its
-// ctx.Err().
+// indexed by job, each with its elapsed wall clock. A failure cancels
+// the jobs above it so they can abort promptly, while the jobs below it
+// finish; the returned error is the lowest-indexed one, which is what a
+// sequential run would have hit first. A canceled parent context
+// surfaces as its ctx.Err().
 func MapTimed[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
 	return MapTimedProbed(ctx, workers, n, obs.Nop(), fn)
 }
@@ -151,36 +154,31 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 	}
 	probe = obs.Or(probe)
 	workers = Workers(workers, n)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	poolStart := time.Now()
 	results := make([]Result[T], n)
 	errs := make([]error, n)
 	var next atomic.Int64
+	jobs := newRunning(workers, n)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+				jctx, ok := jobs.start(ctx, w, i)
+				if !ok {
 					return
 				}
-				res, err := runJob(ctx, i, opts, fn)
+				res, err := runJob(jctx, i, opts, fn)
 				results[i] = res
 				if probe.Enabled() {
 					probe.Add("engine.jobs", 1)
 					probe.Observe("engine.job_sec", res.Elapsed.Seconds())
 				}
-				if err != nil {
-					errs[i] = err
-					if !opts.KeepGoing {
-						cancel()
-						return
-					}
-				}
+				errs[i] = err
+				jobs.done(w, err != nil && !opts.KeepGoing)
 			}
 		}()
 	}
@@ -222,12 +220,66 @@ func MapTimedOpts[T any](ctx context.Context, workers, n int, probe obs.Probe, o
 		}
 	}
 	// No job failed, so the only way ctx can be done here is a parent
-	// cancellation (the deferred cancel has not run yet): some jobs were
-	// never claimed and the result set is incomplete.
+	// cancellation: some jobs were never claimed and the result set is
+	// incomplete.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// running tracks a pool's in-flight jobs, one slot per worker, so that a
+// fail-fast failure cancels only the jobs above it. Jobs are claimed in
+// index order, so every job below a failure is already claimed when it
+// fails; those run to completion under a live context, and the lowest
+// failure is exactly the one a sequential run would hit first, however
+// the workers were scheduled.
+type running struct {
+	mu     sync.Mutex
+	lowest int // lowest failed job so far; n while none
+	slots  []runningJob
+}
+
+type runningJob struct {
+	job    int
+	cancel context.CancelFunc
+}
+
+func newRunning(workers, n int) *running {
+	return &running{lowest: n, slots: make([]runningJob, workers)}
+}
+
+// start records worker w as running job i and returns the job's own
+// context, or reports false when job i must not run: it is past the
+// end, or above a failure.
+func (r *running) start(ctx context.Context, w, i int) (context.Context, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i >= r.lowest {
+		return nil, false
+	}
+	jctx, cancel := context.WithCancel(ctx)
+	r.slots[w] = runningJob{job: i, cancel: cancel}
+	return jctx, true
+}
+
+// done clears worker w's slot. When its job failed fast and is the
+// lowest failure so far, every running job above it is canceled.
+func (r *running) done(w int, failed bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	j := r.slots[w]
+	r.slots[w] = runningJob{}
+	j.cancel()
+	if !failed || j.job >= r.lowest {
+		return
+	}
+	r.lowest = j.job
+	for _, o := range r.slots {
+		if o.cancel != nil && o.job > j.job {
+			o.cancel()
+		}
+	}
 }
 
 // runJob executes one job with the configured retry budget: each failed

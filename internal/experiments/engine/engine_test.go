@@ -53,6 +53,50 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
+// A failure cancels only the jobs above it: job 1 fails while jobs 0
+// and 2 run; job 2 sees its context canceled, job 0 does not and fails
+// afterwards. The lower failure must win, every time.
+func TestMapFailFastSparesLowerJobs(t *testing.T) {
+	errJob0, errJob1 := errors.New("job 0 failed"), errors.New("job 1 failed")
+	job2Started, job2Canceled := make(chan struct{}), make(chan struct{})
+	_, err := Map(context.Background(), 3, 3, func(ctx context.Context, i int) (int, error) {
+		switch i {
+		case 0:
+			<-job2Canceled
+			if ctx.Err() != nil {
+				return 0, fmt.Errorf("job 0 canceled by a higher failure: %w", ctx.Err())
+			}
+			return 0, errJob0
+		case 1:
+			<-job2Started
+			return 0, errJob1
+		default:
+			close(job2Started)
+			<-ctx.Done()
+			close(job2Canceled)
+			return 0, ctx.Err()
+		}
+	})
+	if !errors.Is(err, errJob0) {
+		t.Fatalf("err = %v, want the job-0 failure", err)
+	}
+}
+
+// A parent canceled while jobs wait on it still surfaces as itself.
+func TestMapCanceledParentWhileRunning(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := Map(ctx, 2, 2, func(ctx context.Context, i int) (int, error) {
+		if i == 1 {
+			cancel()
+		}
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 func TestMapCanceledParent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
