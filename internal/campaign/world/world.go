@@ -375,22 +375,18 @@ func (w *W) ScanRequests() {
 	}
 }
 
-// wantsCharge is the request-eligibility predicate: alive, connected,
-// nothing pending, outside cooldown and retransmission backoff, and below
-// the request threshold. It only reads world state, so the sharded scan
-// may evaluate it concurrently across disjoint nodes.
+// wantsCharge is the request-eligibility predicate: below the request
+// threshold, alive, connected, nothing pending, and outside cooldown and
+// retransmission backoff. It only reads world state, so the sharded scan
+// may evaluate it concurrently across disjoint nodes, and its terms may
+// go in any order: the threshold test comes first because it is the
+// cheapest and rejects almost every node.
 func (w *W) wantsCharge(id wrsn.NodeID) bool {
 	n := w.nw.Nodes()[id]
-	if !n.Alive() || !w.nw.Connected(id) || w.qu.Has(id) {
-		return false
-	}
-	if w.now < w.cool[id] {
-		return false
-	}
-	if w.retxNext != nil && w.now < w.retxNext[id] {
-		return false
-	}
-	return n.Battery.Level() <= w.p.RequestFrac*n.Battery.Capacity()
+	return n.Battery.Level() <= w.p.RequestFrac*n.Battery.Capacity() &&
+		n.Alive() && w.nw.Connected(id) && !w.qu.Has(id) &&
+		!(w.now < w.cool[id]) &&
+		(w.retxNext == nil || !(w.now < w.retxNext[id]))
 }
 
 // issueRequest runs the mutating tail of the scan for one eligible node:

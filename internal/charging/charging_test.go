@@ -1,6 +1,7 @@
 package charging
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/reprolab/wrsn-csa/internal/geom"
@@ -127,6 +128,62 @@ func TestEDF(t *testing.T) {
 	r, ok := EDF{}.Next(&q, geom.Pt(0, 0), 10)
 	if !ok || r.Node != 2 {
 		t.Errorf("EDF picked %v, want 2", r.Node)
+	}
+}
+
+// sortedNext is the reference each scheduler's Next must match: the
+// first best request in the sorted Pending() copy.
+func sortedNext(q *Queue, better func(r, best Request) bool) (Request, bool) {
+	p := q.Pending()
+	if len(p) == 0 {
+		return Request{}, false
+	}
+	best := p[0]
+	for _, r := range p[1:] {
+		if better(r, best) {
+			best = r
+		}
+	}
+	return best, true
+}
+
+// TestSchedulersMatchSortedReference draws random queues whose issue
+// times, deadlines and positions collide often (and whose slice order is
+// scrambled by removals) and requires FCFS, NJNP and EDF to pick what
+// the sorted reference picks.
+func TestSchedulersMatchSortedReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	pick := func(n int) float64 { return float64(rnd.Intn(n)) }
+	for trial := 0; trial < 2000; trial++ {
+		var q Queue
+		for i := 0; i < 1+rnd.Intn(12); i++ {
+			issued := pick(4)
+			r := Request{
+				Node:     wrsn.NodeID(rnd.Intn(20)),
+				Pos:      geom.Pt(pick(3), pick(3)),
+				IssuedAt: issued,
+				Deadline: issued + pick(3),
+			}
+			if err := q.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < rnd.Intn(3); i++ {
+			q.Remove(wrsn.NodeID(rnd.Intn(20)))
+		}
+		at := geom.Pt(pick(3), pick(3))
+		refs := map[string]func(r, best Request) bool{
+			"FCFS": func(r, best Request) bool { return r.IssuedAt < best.IssuedAt },
+			"NJNP": func(r, best Request) bool { return at.Dist2(r.Pos) < at.Dist2(best.Pos) },
+			"EDF":  func(r, best Request) bool { return r.Deadline < best.Deadline },
+		}
+		for _, s := range []Scheduler{FCFS{}, NJNP{}, EDF{}} {
+			got, gok := s.Next(&q, at, 0)
+			want, wok := sortedNext(&q, refs[s.Name()])
+			if got != want || gok != wok {
+				t.Fatalf("trial %d %s: Next = %+v %v, sorted reference %+v %v (queue %+v)", trial, s.Name(), got, gok, want, wok, q.pending)
+			}
+		}
 	}
 }
 

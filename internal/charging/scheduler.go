@@ -34,11 +34,7 @@ func (FCFS) Name() string { return "FCFS" }
 
 // Next implements Scheduler.
 func (FCFS) Next(q *Queue, _ geom.Point, _ float64) (Request, bool) {
-	p := q.Pending()
-	if len(p) == 0 {
-		return Request{}, false
-	}
-	return p[0], true
+	return argmin(q, issuedBefore)
 }
 
 // NJNP is Nearest-Job-Next(-with-Preemption): always serve the spatially
@@ -52,18 +48,10 @@ func (NJNP) Name() string { return "NJNP" }
 
 // Next implements Scheduler.
 func (NJNP) Next(q *Queue, chargerPos geom.Point, _ float64) (Request, bool) {
-	p := q.Pending()
-	if len(p) == 0 {
-		return Request{}, false
-	}
-	best := 0
-	bestD := chargerPos.Dist2(p[0].Pos)
-	for i := 1; i < len(p); i++ {
-		if d := chargerPos.Dist2(p[i].Pos); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return p[best], true
+	return argmin(q, func(r, best Request) bool {
+		d, bestD := chargerPos.Dist2(r.Pos), chargerPos.Dist2(best.Pos)
+		return d < bestD || d == bestD && issuedBefore(r, best)
+	})
 }
 
 // EDF serves the request with the earliest deadline (soonest projected
@@ -75,17 +63,30 @@ func (EDF) Name() string { return "EDF" }
 
 // Next implements Scheduler.
 func (EDF) Next(q *Queue, _ geom.Point, _ float64) (Request, bool) {
-	p := q.Pending()
-	if len(p) == 0 {
+	return argmin(q, func(r, best Request) bool {
+		return r.Deadline < best.Deadline || r.Deadline == best.Deadline && issuedBefore(r, best)
+	})
+}
+
+// issuedBefore is the queue's canonical order: issue time, then node ID.
+func issuedBefore(a, b Request) bool {
+	return a.IssuedAt < b.IssuedAt || a.IssuedAt == b.IssuedAt && a.Node < b.Node
+}
+
+// argmin returns the pending request that no other beats, scanning the
+// unsorted queue in place. With better breaking ties by issuedBefore it
+// picks what a scan of the sorted Pending() copy would.
+func argmin(q *Queue, better func(r, best Request) bool) (Request, bool) {
+	if len(q.pending) == 0 {
 		return Request{}, false
 	}
-	best := 0
-	for i := 1; i < len(p); i++ {
-		if p[i].Deadline < p[best].Deadline {
-			best = i
+	best := q.pending[0]
+	for _, r := range q.pending[1:] {
+		if better(r, best) {
+			best = r
 		}
 	}
-	return p[best], true
+	return best, true
 }
 
 // PeriodicTSP is the tour-based policy of the periodic-charging

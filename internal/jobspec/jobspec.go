@@ -127,46 +127,54 @@ var solverNames = map[string]bool{
 // world, so a daemon can reject a bad Spec at submission time with a
 // useful message instead of failing the job later.
 func (s Spec) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate that also returns the snapshot it decoded —
+// ResumeFrom's, else Snapshot's, else nil — so a run decodes it once.
+func (s Spec) validate() (*snapshot.Snapshot, error) {
 	switch s.Kind {
 	case KindAttack, KindLegit:
 		if s.Chargers != 0 {
-			return fmt.Errorf("jobspec: kind %q is single-charger; chargers must be 0, got %d", s.Kind, s.Chargers)
+			return nil, fmt.Errorf("jobspec: kind %q is single-charger; chargers must be 0, got %d", s.Kind, s.Chargers)
 		}
 	case KindFleet:
 		if s.Chargers < 1 {
-			return fmt.Errorf("jobspec: kind %q needs chargers ≥ 1, got %d", s.Kind, s.Chargers)
+			return nil, fmt.Errorf("jobspec: kind %q needs chargers ≥ 1, got %d", s.Kind, s.Chargers)
 		}
 	default:
-		return fmt.Errorf("jobspec: unknown kind %q (want %q, %q or %q)", s.Kind, KindAttack, KindLegit, KindFleet)
+		return nil, fmt.Errorf("jobspec: unknown kind %q (want %q, %q or %q)", s.Kind, KindAttack, KindLegit, KindFleet)
 	}
+	var snap *snapshot.Snapshot
+	var err error
 	if len(s.ResumeFrom) > 0 {
-		snap, err := snapshot.Decode(s.ResumeFrom)
-		if err != nil {
-			return fmt.Errorf("jobspec: resume_from: %w", err)
+		if snap, err = snapshot.Decode(s.ResumeFrom); err != nil {
+			return nil, fmt.Errorf("jobspec: resume_from: %w", err)
 		}
 		if !snap.Live() {
-			return fmt.Errorf("jobspec: resume_from holds a version-%d template, not a live checkpoint", snapshot.Version)
+			return nil, fmt.Errorf("jobspec: resume_from holds a version-%d template, not a live checkpoint", snapshot.Version)
 		}
 		if fleet := snap.Campaign().Fleet != nil; fleet != (s.Kind == KindFleet) {
-			return fmt.Errorf("jobspec: resume_from checkpoint does not match kind %q", s.Kind)
+			return nil, fmt.Errorf("jobspec: resume_from checkpoint does not match kind %q", s.Kind)
 		}
 	} else if len(s.Snapshot) > 0 {
-		if _, err := snapshot.Decode(s.Snapshot); err != nil {
-			return fmt.Errorf("jobspec: %w", err)
+		if snap, err = snapshot.Decode(s.Snapshot); err != nil {
+			return nil, fmt.Errorf("jobspec: %w", err)
 		}
 	} else if s.Scenario.Deploy.N <= 0 {
-		return fmt.Errorf("jobspec: scenario needs a positive node count, got %d", s.Scenario.Deploy.N)
+		return nil, fmt.Errorf("jobspec: scenario needs a positive node count, got %d", s.Scenario.Deploy.N)
 	}
 	if !solverNames[s.Campaign.Solver] {
-		return fmt.Errorf("jobspec: unknown solver %q", s.Campaign.Solver)
+		return nil, fmt.Errorf("jobspec: unknown solver %q", s.Campaign.Solver)
 	}
-	if _, err := s.scheduler(); err != nil {
-		return err
+	if _, err = s.scheduler(); err != nil {
+		return nil, err
 	}
 	if s.Faults != nil && s.Faults.RequestLossProb < 0 {
-		return fmt.Errorf("jobspec: negative request-loss probability %v", s.Faults.RequestLossProb)
+		return nil, fmt.Errorf("jobspec: negative request-loss probability %v", s.Faults.RequestLossProb)
 	}
-	return nil
+	return snap, nil
 }
 
 // scheduler resolves the scheduler name; empty means the campaign
@@ -259,16 +267,13 @@ func (s Spec) WithSnapshot(snap *snapshot.Snapshot) (Spec, error) {
 	return s, nil
 }
 
-// world materializes the network and first charger: forked from the
-// embedded snapshot when present, built from the scenario otherwise.
-// Either way the charger is parked at the sink with default params (a
-// snapshot captured without a charger falls back to a fresh one).
-func (s Spec) world() (*wrsn.Network, *mc.Charger, error) {
-	if len(s.Snapshot) > 0 {
-		snap, err := snapshot.Decode(s.Snapshot)
-		if err != nil {
-			return nil, nil, fmt.Errorf("jobspec: %w", err)
-		}
+// world materializes the network and first charger: forked from snap,
+// the decoded embedded snapshot, when present, built from the scenario
+// otherwise. Either way the charger is parked at the sink with default
+// params (a snapshot captured without a charger falls back to a fresh
+// one).
+func (s Spec) world(snap *snapshot.Snapshot) (*wrsn.Network, *mc.Charger, error) {
+	if snap != nil {
 		nw, ch, _, err := snap.Fork()
 		if err != nil {
 			return nil, nil, fmt.Errorf("jobspec: %w", err)
@@ -311,7 +316,8 @@ func Run(ctx context.Context, s Spec, probe obs.Probe) (*Result, error) {
 // continues the checkpointed campaign instead of starting it; either way
 // the Result is byte-identical to an uninterrupted, unobserved run.
 func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
-	if err := s.Validate(); err != nil {
+	snap, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	probe := obs.Or(opts.Probe)
@@ -326,10 +332,6 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 		cfg.Checkpoint = &plan
 	}
 	if len(s.ResumeFrom) > 0 {
-		snap, err := snapshot.Decode(s.ResumeFrom)
-		if err != nil {
-			return nil, fmt.Errorf("jobspec: resume_from: %w", err)
-		}
 		cfg, err := s.Config(probe, snap.NodeCount())
 		if err != nil {
 			return nil, err
@@ -348,7 +350,7 @@ func RunOpts(ctx context.Context, s Spec, opts RunOptions) (*Result, error) {
 		}
 		return &Result{Outcome: o}, nil
 	}
-	nw, ch, err := s.world()
+	nw, ch, err := s.world(snap)
 	if err != nil {
 		return nil, err
 	}

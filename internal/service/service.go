@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/reprolab/wrsn-csa/internal/campaign"
+	"github.com/reprolab/wrsn-csa/internal/digest"
 	"github.com/reprolab/wrsn-csa/internal/experiments/engine"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
@@ -601,6 +602,16 @@ func (s *Service) runJob(j *job) {
 		}
 		return res, rerr
 	})
+	// Canonicalize before taking the lock, so status polls never wait on
+	// it; the digest is the hash of the very bytes /outcome serves.
+	var outcome []byte
+	var dig string
+	var cerr error
+	if err == nil && !stopped.Load() {
+		if outcome, cerr = results[0].Value.CanonicalJSON(); cerr == nil {
+			dig = digest.SumCanonical(outcome)
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -615,17 +626,13 @@ func (s *Service) runJob(j *job) {
 		s.finishLocked(j, failState(err), classify(err))
 		return
 	}
-	res := results[0].Value
-	dig, derr := res.Digest()
-	if derr == nil {
-		j.outcome, derr = res.CanonicalJSON()
-	}
-	if derr != nil {
-		s.finishLocked(j, StateFailed, &ErrorInfo{Kind: "encode", Message: derr.Error()})
+	if cerr != nil {
+		s.finishLocked(j, StateFailed, &ErrorInfo{Kind: "encode", Message: cerr.Error()})
 		return
 	}
+	j.outcome = outcome
 	j.digest = dig
-	j.summary = summarize(res)
+	j.summary = summarize(results[0].Value)
 	s.finishLocked(j, StateDone, nil)
 }
 

@@ -2,7 +2,12 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -300,6 +305,58 @@ func TestDoneJobServesOutcomeDigestAndSummary(t *testing.T) {
 	}
 	if len(body) == 0 || !strings.Contains(string(body), "Solver") {
 		t.Errorf("outcome body looks wrong: %.80s", body)
+	}
+}
+
+// TestStatusDigestHashesServedOutcome pins the daemon's digest to the
+// wire: the status digest is the SHA-256 of exactly the /outcome bytes,
+// and equals the library digest of the same result.
+func TestStatusDigestHashesServedOutcome(t *testing.T) {
+	res, err := jobspec.Run(context.Background(), quickSpec(42), obs.Nop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{QueueDepth: 2, Workers: 1})
+	defer shutdownOrFail(t, s, 10*time.Second)
+	st, err := s.Submit(quickSpec(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := s.WaitDone(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var status JobStatus
+	get("/v1/jobs/"+st.ID, &status)
+	var env OutcomeEnvelope
+	get("/v1/jobs/"+st.ID+"/outcome", &env)
+	sum := sha256.Sum256(env.Outcome)
+	if got := hex.EncodeToString(sum[:]); got != status.Digest {
+		t.Errorf("status digest %s, SHA-256 of the served outcome %s", status.Digest, got)
+	}
+	if status.Digest != want {
+		t.Errorf("status digest %s, library digest %s", status.Digest, want)
 	}
 }
 
