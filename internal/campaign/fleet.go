@@ -258,7 +258,7 @@ func (f *fleetRun) end(e *sim.Engine, idx int) {
 		_ = e.AfterKeyed(1, fleetDispatchKind, idx, "next")
 		return
 	}
-	delivered := node.Battery.Charge(s.rate * s.dur)
+	delivered := w.Charge(node.ID, s.rate*s.dur)
 	sess := charging.Session{
 		Node: node.ID, Kind: charging.SessionFocus,
 		Start: s.start, End: e.Now(),

@@ -9,25 +9,24 @@ import (
 )
 
 // Sharded tick stepping. The per-tick work that scales with network size
-// — battery drain, depletion forecasting, request-eligibility scanning,
-// lifetime sampling — is embarrassingly parallel over nodes: each node's
-// contribution reads and writes only its own dense-storage slots. The
-// shard runner partitions the node set once (by grid region, so a shard
-// streams neighboring rows of the struct-of-arrays storage), fans each
-// tick's scan across shards, and merges per-shard results under rules
-// that reproduce the sequential scan exactly:
+// — the step kernel (battery drain, depletion forecast, request-threshold
+// test) and lifetime sampling — is embarrassingly parallel over nodes:
+// each node's contribution reads and writes only its own dense-storage
+// slots. The shard runner partitions the node set once (by grid region,
+// so a shard streams neighboring rows of the struct-of-arrays storage),
+// runs the same wrsn.StepKernel the sequential path runs on each shard,
+// and merges per-shard results under rules that reproduce the sequential
+// pass exactly:
 //
-//   - deaths: each shard's list is ascending by ID (shards hold ascending
-//     IDs and AdvanceEnergyIn preserves input order), so an ascending-ID
-//     k-way merge yields precisely the full ascending scan's list —
-//     RecordDeath order, and through it the ledger, is unchanged;
-//   - next depletion: per-shard minima merge by (time, ID) lex order,
-//     matching the full scan's strict-< lowest-ID tie rule;
-//   - request scanning: eligibility is a pure read per node, so shards
-//     gather candidates in parallel and the mutating tail (the loss draw,
+//   - deaths and low-battery candidates: each shard's lists are
+//     ascending by ID (shards hold ascending IDs and the kernel preserves
+//     input order), so an ascending-ID merge yields precisely the
+//     full pass's lists — recordDeath order, and through it the ledger,
+//     is unchanged, and the request scan's mutating tail (the loss draw,
 //     the queue insert, the ledger write) applies sequentially in
-//     ascending ID order — the RNG consumes draws in exactly the
-//     sequential scan's order;
+//     ascending ID order, consuming RNG draws in the sequential order;
+//   - next depletion: per-shard minima merge by (time, ID) lex order,
+//     matching the full pass's strict-< lowest-ID tie rule;
 //   - samples: per-shard counts are integers; addition is exact and
 //     order-free.
 //
@@ -50,15 +49,15 @@ type shardRunner struct {
 	// Per-shard scratch, indexed by shard. Slices are written only by the
 	// owning shard's goroutine during a fan-out.
 	died  [][]wrsn.NodeID
-	cands [][]wrsn.NodeID
+	low   [][]wrsn.NodeID
 	depT  []float64
 	depID []wrsn.NodeID
 	alive []int
 	conn  []int
 	key   []int
 
-	merged   []wrsn.NodeID // merge output, reused across ticks
-	headsBuf []int         // k-way merge cursors, reused across ticks
+	// tmp is mergeAscending's second buffer, reused across ticks.
+	tmp []wrsn.NodeID
 }
 
 // newShardRunner builds the partition for k-way stepping. k == 0 sizes
@@ -84,7 +83,7 @@ func newShardRunner(nw *wrsn.Network, k int) *shardRunner {
 		nw:     nw,
 		shards: shards,
 		died:   make([][]wrsn.NodeID, k),
-		cands:  make([][]wrsn.NodeID, k),
+		low:    make([][]wrsn.NodeID, k),
 		depT:   make([]float64, k),
 		depID:  make([]wrsn.NodeID, k),
 		alive:  make([]int, k),
@@ -93,7 +92,7 @@ func newShardRunner(nw *wrsn.Network, k int) *shardRunner {
 	}
 	for s := range shards {
 		sh.died[s] = make([]wrsn.NodeID, 0, 16)
-		sh.cands[s] = make([]wrsn.NodeID, 0, 64)
+		sh.low[s] = make([]wrsn.NodeID, 0, 64)
 	}
 	return sh
 }
@@ -113,46 +112,29 @@ func (sh *shardRunner) run(fn func(s int)) {
 	wg.Wait()
 }
 
-// advanceEnergy drains all shards in parallel and returns the dead nodes
-// in ascending ID order — the exact list the sequential full scan
-// produces. The returned slice is owned by the runner and valid until the
-// next call.
-func (sh *shardRunner) advanceEnergy(dt float64) []wrsn.NodeID {
+// step runs the kernel on every shard in parallel and returns the
+// forecast merged under the full pass's (time, lowest ID) rule. The
+// per-shard death and low-battery lists stay with the runner until
+// lists merges them; a forecast-only pass never pays for the merge.
+func (sh *shardRunner) step(dt, next, reqFrac float64) (t float64, who wrsn.NodeID) {
 	sh.run(func(s int) {
-		sh.died[s] = sh.nw.AdvanceEnergyIn(sh.shards[s], dt, sh.died[s][:0])
+		sh.died[s], sh.low[s], sh.depT[s], sh.depID[s] =
+			sh.nw.StepKernel(sh.shards[s], dt, next, reqFrac, sh.died[s][:0], sh.low[s][:0])
 	})
-	return sh.mergeAscending(sh.died)
-}
-
-// nextDepletion merges per-shard depletion forecasts under the full
-// scan's (time, lowest ID) rule.
-func (sh *shardRunner) nextDepletion(now float64) (float64, wrsn.NodeID) {
-	sh.run(func(s int) {
-		sh.depT[s], sh.depID[s] = sh.nw.NextDepletionIn(sh.shards[s], now)
-	})
-	best, who := math.Inf(1), wrsn.ParentNone
+	t, who = math.Inf(1), wrsn.ParentNone
 	for s := range sh.depT {
-		if sh.depT[s] < best || (sh.depT[s] == best && sh.depID[s] < who) {
-			best, who = sh.depT[s], sh.depID[s]
+		if sh.depT[s] < t || (sh.depT[s] == t && sh.depID[s] < who) {
+			t, who = sh.depT[s], sh.depID[s]
 		}
 	}
-	return best, who
+	return t, who
 }
 
-// gatherWanting evaluates the pure eligibility predicate across shards in
-// parallel and returns the passing IDs in ascending order, ready for the
-// sequential mutating apply. wants must only read world state.
-func (sh *shardRunner) gatherWanting(wants func(wrsn.NodeID) bool) []wrsn.NodeID {
-	sh.run(func(s int) {
-		out := sh.cands[s][:0]
-		for _, id := range sh.shards[s] {
-			if wants(id) {
-				out = append(out, id)
-			}
-		}
-		sh.cands[s] = out
-	})
-	return sh.mergeAscending(sh.cands)
+// lists merges the last pass's per-shard deaths and low-battery
+// candidates onto died and low, ascending — exactly the lists one
+// sequential kernel pass over all nodes returns.
+func (sh *shardRunner) lists(died, low []wrsn.NodeID) ([]wrsn.NodeID, []wrsn.NodeID) {
+	return sh.mergeAscending(died, sh.died), sh.mergeAscending(low, sh.low)
 }
 
 // sampleCounts tallies alive / connected / key-alive across shards.
@@ -183,41 +165,22 @@ func (sh *shardRunner) sampleCounts(keySet []bool) (alive, connected, keyAlive i
 	return alive, connected, keyAlive
 }
 
-// mergeAscending k-way merges per-shard ascending ID lists into one
-// ascending list (IDs are disjoint across shards). The result is reused
-// scratch, valid until the next merge.
-func (sh *shardRunner) mergeAscending(lists [][]wrsn.NodeID) []wrsn.NodeID {
-	out := sh.merged[:0]
-	heads := headsScratch(&sh.headsBuf, len(lists))
-	for {
-		pick := -1
-		var min wrsn.NodeID
-		for s, l := range lists {
-			if heads[s] >= len(l) {
-				continue
-			}
-			if id := l[heads[s]]; pick < 0 || id < min {
-				pick, min = s, id
+// mergeAscending merges per-shard ascending ID lists (disjoint across
+// shards) onto out and returns it, ascending. It folds in one list at a
+// time with a two-way merge, ping-ponging between out's buffer and tmp.
+func (sh *shardRunner) mergeAscending(out []wrsn.NodeID, lists [][]wrsn.NodeID) []wrsn.NodeID {
+	out = append(out[:0], lists[0]...)
+	for _, b := range lists[1:] {
+		a, m := out, sh.tmp[:0]
+		for len(a) > 0 && len(b) > 0 {
+			if a[0] < b[0] {
+				m, a = append(m, a[0]), a[1:]
+			} else {
+				m, b = append(m, b[0]), b[1:]
 			}
 		}
-		if pick < 0 {
-			break
-		}
-		out = append(out, min)
-		heads[pick]++
+		m = append(append(m, a...), b...)
+		sh.tmp, out = out, m
 	}
-	sh.merged = out
 	return out
-}
-
-// headsBuf backs mergeAscending's per-call head cursors.
-func headsScratch(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	h := (*buf)[:n]
-	for i := range h {
-		h[i] = 0
-	}
-	return h
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/reprolab/wrsn-csa/internal/charging"
 	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/obs"
-	"github.com/reprolab/wrsn-csa/internal/sim"
 	"github.com/reprolab/wrsn-csa/internal/wrsn"
 )
 
@@ -115,31 +114,9 @@ func (w *W) State() State {
 // carries both the step chain and the not-yet-fired fault events.
 func Resume(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe, st State) (*W, error) {
 	n := len(nw.Nodes())
-	w := &W{
-		ctx:    ctx,
-		eng:    sim.New(),
-		nw:     nw,
-		led:    led,
-		p:      p,
-		probe:  obs.Or(probe),
-		cool:   make([]float64, n),
-		keySet: make([]bool, n),
-	}
-	w.sh = newShardRunner(nw, p.Shards)
-	w.bindStep()
-	if !p.Faults.Empty() {
-		w.plan = p.Faults
-		w.retxAttempt = make([]int, n)
-		w.retxNext = make([]float64, n)
-		faults.Bind(w.plan, w.eng, faults.Hooks{
-			Sync:        w.CatchUp,
-			NodeDown:    w.failNode,
-			NodeUp:      w.repairNode,
-			ChargerDown: w.chargerDown,
-			ChargerUp:   w.chargerUp,
-			SinkDown:    w.sinkOutage,
-			SinkUp:      w.sinkRestore,
-		})
+	w := newW(ctx, nw, led, p, probe)
+	if w.plan != nil {
+		faults.Bind(w.plan, w.eng, w.faultHooks())
 		if st.FaultLoss != nil {
 			w.plan.RestoreLoss(*st.FaultLoss)
 		}

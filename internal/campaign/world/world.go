@@ -9,6 +9,16 @@
 // event-driven clock. Handlers that already run inside the engine use
 // CatchUp, the re-entrant-safe synchronous form of the same stepping.
 //
+// Each step makes one pass over the nodes (wrsn.StepKernel): it drains
+// the batteries, forecasts the next depletion from the new clock, and
+// collects the nodes low enough to request a charge. The world keeps
+// that forecast until something invalidates it, so scheduling the next
+// step does not scan the network again. This makes a contract: every
+// battery write and alive-set change during a run goes through W —
+// Charge and Drain for the session and fleet layers, the fault handlers
+// for node failure and repair — never through the network's batteries
+// directly, or the kept forecast goes stale.
+//
 // The world writes what it observes into the shared ledger; it never
 // decides anything — policies do that one layer up.
 package world
@@ -56,7 +66,7 @@ type Params struct {
 	// Faults is the fault plan to compile onto the engine; nil or empty
 	// leaves the run byte-identical to a fault-free one.
 	Faults *faults.Plan
-	// Shards sets the per-tick scan parallelism: 0 sizes automatically
+	// Shards sets the per-tick kernel parallelism: 0 sizes automatically
 	// from GOMAXPROCS and network size, 1 forces sequential stepping, and
 	// k > 1 splits the node set into k grid-region shards. The outcome is
 	// byte-identical at any value — sharding only changes wall-clock.
@@ -76,6 +86,20 @@ type W struct {
 	qu  charging.Queue
 	// sh is the parallel tick stepper; nil steps sequentially.
 	sh *shardRunner
+	// all is every node ID in ascending order: the sequential kernel's ID
+	// set and the full request scan's. died and low hold the last step's
+	// deaths and low-battery candidates.
+	all  []wrsn.NodeID
+	died []wrsn.NodeID
+	low  []wrsn.NodeID
+	// depOK marks (depT, depID) as exactly what nw.NextDepletion(now)
+	// returns. The kernel sets it; recompute, Charge and Drain clear it,
+	// since each may change a battery level, a drain rate or the alive
+	// set. It is never serialized: restored and forked worlds start
+	// without it.
+	depOK bool
+	depT  float64
+	depID wrsn.NodeID
 	// cool and keySet are dense per-node tables (node IDs are the
 	// contiguous 0..n-1 range); zero values mean "no cooldown" / "not a
 	// key node", exactly matching the missing-key semantics of the maps
@@ -112,6 +136,19 @@ type W struct {
 // fault events carry lower sequence numbers than any world step scheduled
 // later — at equal timestamps the fault applies first.
 func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe) *W {
+	w := newW(ctx, nw, led, p, probe)
+	if w.plan != nil {
+		// ErrPast is impossible here: the engine clock is zero and plan
+		// events are non-negative.
+		_ = faults.Compile(w.plan, w.eng, w.faultHooks())
+	}
+	return w
+}
+
+// newW builds the parts of a world that New and Resume share: the dense
+// tables, the shard runner, the step-chain binding and the fault plan's
+// per-node state. Nothing is scheduled.
+func newW(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe obs.Probe) *W {
 	n := len(nw.Nodes())
 	w := &W{
 		ctx:    ctx,
@@ -122,6 +159,10 @@ func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe o
 		probe:  obs.Or(probe),
 		cool:   make([]float64, n),
 		keySet: make([]bool, n),
+		all:    make([]wrsn.NodeID, n),
+	}
+	for i := range w.all {
+		w.all[i] = wrsn.NodeID(i)
 	}
 	w.sh = newShardRunner(nw, p.Shards)
 	w.bindStep()
@@ -129,19 +170,21 @@ func New(ctx context.Context, nw *wrsn.Network, led *ledger.L, p Params, probe o
 		w.plan = p.Faults
 		w.retxAttempt = make([]int, n)
 		w.retxNext = make([]float64, n)
-		// ErrPast is impossible here: the engine clock is zero and plan
-		// events are non-negative.
-		_ = faults.Compile(w.plan, w.eng, faults.Hooks{
-			Sync:        w.CatchUp,
-			NodeDown:    w.failNode,
-			NodeUp:      w.repairNode,
-			ChargerDown: w.chargerDown,
-			ChargerUp:   w.chargerUp,
-			SinkDown:    w.sinkOutage,
-			SinkUp:      w.sinkRestore,
-		})
 	}
 	return w
+}
+
+// faultHooks routes compiled fault events to the world's handlers.
+func (w *W) faultHooks() faults.Hooks {
+	return faults.Hooks{
+		Sync:        w.CatchUp,
+		NodeDown:    w.failNode,
+		NodeUp:      w.repairNode,
+		ChargerDown: w.chargerDown,
+		ChargerUp:   w.chargerUp,
+		SinkDown:    w.sinkOutage,
+		SinkUp:      w.sinkRestore,
+	}
 }
 
 // stepKind is the keyed-event kind of the world's step chain. Keyed
@@ -201,49 +244,92 @@ func (w *W) StopAuditing() { w.auditing = false }
 func (w *W) Auditing() bool { return w.auditing }
 
 // step moves the clock one boundary toward target: the next poll tick or
-// the next battery depletion, whichever is sooner. Batteries drain, deaths
-// are recorded, routing recomputes on topology change, and new requests,
-// samples, and audits are taken at the boundary.
+// the next battery depletion, whichever is sooner. One kernel pass drains
+// the batteries and forecasts the next depletion; deaths are recorded,
+// routing recomputes on topology change, and requests (from the pass's
+// low-battery candidates), samples, and audits are taken at the boundary.
 func (w *W) step(target float64) {
 	step := min(target, w.now+w.p.PollSec)
 	if dt, _ := w.nextDepletion(); dt > w.now && dt < step {
 		step = dt
 	}
-	died := w.advanceEnergy(step - w.now)
+	w.kernel(step-w.now, step)
 	w.now = step
-	if len(died) > 0 {
-		for _, id := range died {
-			w.RecordDeath(id)
-		}
-		w.nw.Recompute()
+	if w.sh != nil {
+		w.died, w.low = w.sh.lists(w.died[:0], w.low[:0])
 	}
-	w.ScanRequests()
+	if len(w.died) > 0 {
+		for _, id := range w.died {
+			w.recordDeath(id)
+		}
+		w.recompute()
+	}
+	w.issueEligible(w.low)
 	w.Sample()
 	w.audit()
 	// Energy-aware routing responds to battery levels, not just deaths;
 	// refresh it at step granularity so load actually shifts off draining
 	// relays.
 	if w.nw.Policy() == wrsn.PolicyEnergyAware {
-		w.nw.Recompute()
+		w.recompute()
 	}
 }
 
-// nextDepletion forecasts the soonest death from the current clock,
-// sharded when a runner is armed.
+// kernel runs one step-kernel pass, sharded when a runner is armed:
+// every alive node drains for dt. It keeps the pass's forecast from
+// next, which the caller makes the clock. The sequential pass leaves the
+// nodes that died and the survivors at or below the request threshold
+// in died and low, both ascending; the sharded pass leaves them with the
+// runner, which merges them on request.
+func (w *W) kernel(dt, next float64) {
+	if w.sh != nil {
+		w.depT, w.depID = w.sh.step(dt, next, w.p.RequestFrac)
+	} else {
+		w.died, w.low, w.depT, w.depID = w.nw.StepKernel(w.all, dt, next, w.p.RequestFrac, w.died[:0], w.low[:0])
+	}
+	w.depOK = true
+}
+
+// nextDepletion forecasts the soonest death from the current clock —
+// exactly nw.NextDepletion(now). A kept forecast is returned as is;
+// otherwise a zero-length kernel pass, which drains nothing, computes it.
 func (w *W) nextDepletion() (float64, wrsn.NodeID) {
-	if w.sh == nil {
-		return w.nw.NextDepletion(w.now)
+	if !w.depOK {
+		w.kernel(0, w.now)
 	}
-	return w.sh.nextDepletion(w.now)
+	return w.depT, w.depID
 }
 
-// advanceEnergy drains the network for dt and returns deaths in ascending
-// ID order, sharded when a runner is armed.
-func (w *W) advanceEnergy(dt float64) []wrsn.NodeID {
-	if w.sh == nil {
-		return w.nw.AdvanceEnergy(dt)
+// recompute rebuilds routing and drops the kept forecast: drain rates and
+// the alive set may have changed.
+func (w *W) recompute() {
+	w.nw.Recompute()
+	w.depOK = false
+}
+
+// Charge stores up to j joules in node id's battery and returns what was
+// stored. Sessions and the fleet charge through here, never through the
+// battery, so the kept forecast is dropped.
+func (w *W) Charge(id wrsn.NodeID, j float64) float64 {
+	w.depOK = false
+	return w.nw.Nodes()[id].Battery.Charge(j)
+}
+
+// Drain takes up to j joules from node id's battery outside the step
+// kernel (a countermeasure's energy cost). A dead node is left alone; a
+// node the drain empties is recorded as a death and routing recomputes,
+// since the kernel that normally notices deaths does not run here.
+func (w *W) Drain(id wrsn.NodeID, j float64) {
+	n := w.nw.Nodes()[id]
+	if !n.Alive() {
+		return
 	}
-	return w.sh.advanceEnergy(dt)
+	n.Battery.Drain(j)
+	w.depOK = false
+	if n.Battery.Depleted() {
+		w.recordDeath(id)
+		w.recompute()
+	}
 }
 
 // AdvanceTo moves the world clock to t through the event engine: each
@@ -291,7 +377,8 @@ func (w *W) armStep(target float64) {
 
 // scheduleStep queues the next step boundary toward target, and
 // re-schedules itself from inside the handler until the target is reached
-// or the context is canceled.
+// or the context is canceled. The depletion forecast is normally the one
+// the step just made, so scheduling does not scan the network.
 func (w *W) scheduleStep(target float64) {
 	if w.now >= target || w.Canceled() {
 		return
@@ -320,10 +407,10 @@ func (w *W) CatchUp(t float64) {
 	}
 }
 
-// RecordDeath logs a node death into the audit trail: its reachability as
+// recordDeath logs a node death into the audit trail: its reachability as
 // it died, the first-death statistic, and the cancellation of any pending
 // request it had.
-func (w *W) RecordDeath(id wrsn.NodeID) {
+func (w *W) recordDeath(id wrsn.NodeID) {
 	reachable := w.nw.Connected(id)
 	w.led.Audit.Deaths = append(w.led.Audit.Deaths, detect.DeathObs{
 		Node: id, Time: w.now,
@@ -348,39 +435,37 @@ func (w *W) RecordDeath(id wrsn.NodeID) {
 	}
 }
 
-// ScanRequests issues charging requests for alive, connected,
-// below-threshold nodes that are outside their cooldown and have nothing
-// pending. Under a fault plan, a sink outage defers issuance entirely
-// (requests cannot reach the sink), each transmission may be lost, and a
-// node whose request was lost retries with capped exponential backoff.
-func (w *W) ScanRequests() {
+// ScanRequests issues charging requests for every eligible node. The
+// world step scans only its kernel pass's low-battery candidates; this
+// full scan is for callers outside the step (the policy layer's scan at
+// time zero).
+func (w *W) ScanRequests() { w.issueEligible(w.all) }
+
+// issueEligible issues charging requests for the nodes among ids (which
+// must be ascending) that wantsCharge admits. Under a fault plan, a sink
+// outage defers issuance entirely (requests cannot reach the sink), each
+// transmission may be lost, and a node whose request was lost retries
+// with capped exponential backoff. Issuing one node's request never
+// changes another's eligibility, so scanning any ascending superset of
+// the eligible nodes is the full scan, RNG draw order included.
+func (w *W) issueEligible(ids []wrsn.NodeID) {
 	if w.sinkDown {
 		return
 	}
-	if w.sh != nil {
-		// Eligibility is a pure read per node, so shards evaluate it in
-		// parallel; the mutating tail (the loss draw onward) applies
-		// sequentially in ascending ID order — issuing one node's request
-		// never changes another's eligibility, so the split reproduces the
-		// sequential scan exactly, RNG draw order included.
-		for _, id := range w.sh.gatherWanting(w.wantsCharge) {
+	for _, id := range ids {
+		if w.wantsCharge(id) {
 			w.issueRequest(id)
-		}
-		return
-	}
-	for _, n := range w.nw.Nodes() {
-		if w.wantsCharge(n.ID) {
-			w.issueRequest(n.ID)
 		}
 	}
 }
 
 // wantsCharge is the request-eligibility predicate: below the request
 // threshold, alive, connected, nothing pending, and outside cooldown and
-// retransmission backoff. It only reads world state, so the sharded scan
-// may evaluate it concurrently across disjoint nodes, and its terms may
-// go in any order: the threshold test comes first because it is the
-// cheapest and rejects almost every node.
+// retransmission backoff. It only reads world state, so its terms may go
+// in any order: the threshold test comes first because it is the
+// cheapest and rejects almost every node. The step kernel applies the
+// same threshold expression to pick its candidates; this predicate stays
+// the authority.
 func (w *W) wantsCharge(id wrsn.NodeID) bool {
 	n := w.nw.Nodes()[id]
 	return n.Battery.Level() <= w.p.RequestFrac*n.Battery.Capacity() &&
@@ -544,7 +629,7 @@ func (w *W) failNode(id int) {
 		w.retxAttempt[n.ID] = 0
 		w.retxNext[n.ID] = 0
 	}
-	w.nw.Recompute()
+	w.recompute()
 	w.led.Faults.NodeFailures++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.node_failures", 1)
@@ -560,7 +645,7 @@ func (w *W) repairNode(id int) {
 		return
 	}
 	n.Repair()
-	w.nw.Recompute()
+	w.recompute()
 	w.led.Faults.NodeRecoveries++
 	if w.probe.Enabled() {
 		w.probe.Add("campaign.faults.node_recoveries", 1)

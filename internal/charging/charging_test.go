@@ -82,19 +82,6 @@ func TestQueuePendingSorted(t *testing.T) {
 	}
 }
 
-func TestQueueExpire(t *testing.T) {
-	var q Queue
-	_ = q.Add(req(1, 0, 0, 10, 1))
-	_ = q.Add(req(2, 0, 0, 50, 1))
-	dead := q.Expire(20)
-	if len(dead) != 1 || dead[0].Node != 1 {
-		t.Errorf("expired = %v", dead)
-	}
-	if q.Has(1) || !q.Has(2) {
-		t.Error("expire removed the wrong entries")
-	}
-}
-
 func TestFCFS(t *testing.T) {
 	var q Queue
 	_ = q.Add(req(2, 100, 5, 100, 1))

@@ -115,16 +115,3 @@ func (q *Queue) Pending() []Request {
 	})
 	return out
 }
-
-// Expire removes requests whose deadline has passed (the node died) and
-// returns them.
-func (q *Queue) Expire(now float64) []Request {
-	var dead []Request
-	for _, r := range q.Pending() {
-		if r.Deadline <= now {
-			dead = append(dead, r)
-			q.Remove(r.Node)
-		}
-	}
-	return dead
-}

@@ -6,7 +6,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/reprolab/wrsn-csa/internal/obs"
@@ -163,23 +165,43 @@ func (d GainDetector) Score(a Audit) float64 {
 	if zero <= 0 {
 		zero = 1
 	}
-	// Order sessions per node by start time.
-	byNode := make(map[wrsn.NodeID][]SessionObs)
-	for _, s := range a.Sessions {
-		byNode[s.Node] = append(byNode[s.Node], s)
+	// Group the sessions by node, keeping audit order within a node:
+	// sort their indices by (node, index), a total order. Then order each
+	// node's run by start time with the same sort.Slice a per-node bucket
+	// of the sessions themselves would get — its permutation depends
+	// only on the comparisons, so ties resolve exactly as they always
+	// have.
+	ss := a.Sessions
+	idx := make([]int32, len(ss))
+	for i := range idx {
+		idx[i] = int32(i)
 	}
+	slices.SortFunc(idx, func(x, y int32) int {
+		if c := cmp.Compare(ss[x].Node, ss[y].Node); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
 	longest := 0
-	for _, ss := range byNode {
-		sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
-		run := 0
-		for _, s := range ss {
-			if s.MeterGainJ <= zero {
-				run++
-				if run > longest {
-					longest = run
+	for len(idx) > 0 {
+		k := 1
+		for k < len(idx) && ss[idx[k]].Node == ss[idx[0]].Node {
+			k++
+		}
+		run := idx[:k]
+		idx = idx[k:]
+		if k > 1 {
+			sort.Slice(run, func(i, j int) bool { return ss[run[i]].Start < ss[run[j]].Start })
+		}
+		zeros := 0
+		for _, i := range run {
+			if ss[i].MeterGainJ <= zero {
+				zeros++
+				if zeros > longest {
+					longest = zeros
 				}
 			} else {
-				run = 0
+				zeros = 0
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package detect
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -69,6 +71,93 @@ func TestGainDetector(t *testing.T) {
 	}
 	if Flagged(d, a) != true {
 		t.Error("run of 3 not flagged at default trigger")
+	}
+}
+
+// referenceGainScore is GainDetector.Score as it was first written: a
+// map of per-node buckets, each sorted by start time. Score must agree
+// with it everywhere, ties included.
+func referenceGainScore(d GainDetector, a Audit) float64 {
+	zero := d.ZeroGainJ
+	if zero <= 0 {
+		zero = 1
+	}
+	byNode := make(map[wrsn.NodeID][]SessionObs)
+	for _, s := range a.Sessions {
+		byNode[s.Node] = append(byNode[s.Node], s)
+	}
+	longest := 0
+	for _, ss := range byNode {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].Start < ss[j].Start })
+		run := 0
+		for _, s := range ss {
+			if s.MeterGainJ <= zero {
+				run++
+				if run > longest {
+					longest = run
+				}
+			} else {
+				run = 0
+			}
+		}
+	}
+	return float64(longest)
+}
+
+// TestGainDetectorMatchesReference checks the map-free Score against the
+// per-node-bucket reference on hand-built audits (interleaved nodes,
+// equal start times, runs past the 12-element insertion-sort cutoff
+// where the start-time sort stops being stable) and on random audits
+// drawn from a few nodes and start times so ties are common.
+func TestGainDetectorMatchesReference(t *testing.T) {
+	tied := make([]SessionObs, 0, 40)
+	for i := 0; i < 40; i++ {
+		gain := 0.0
+		if i%3 == 0 {
+			gain = 90
+		}
+		tied = append(tied, sess(wrsn.NodeID(i%2), float64(100*(i%4)), 100, gain, true))
+	}
+	cases := []struct {
+		name string
+		ss   []SessionObs
+	}{
+		{"empty", nil},
+		{"single", []SessionObs{sess(3, 0, 100, 0, true)}},
+		{"interleaved", []SessionObs{
+			sess(2, 300, 100, 0, true), sess(1, 0, 100, 0, true),
+			sess(2, 100, 100, 0, true), sess(1, 200, 100, 90, true),
+			sess(2, 200, 100, 0, true), sess(1, 100, 100, 0, true),
+		}},
+		{"equal-starts", []SessionObs{
+			sess(5, 100, 100, 0, true), sess(5, 100, 100, 90, true),
+			sess(5, 100, 100, 0, true), sess(4, 100, 100, 0, true),
+		}},
+		{"tied-past-cutoff", tied},
+	}
+	for _, c := range cases {
+		for _, d := range []GainDetector{{}, {ZeroGainJ: 50}} {
+			if got, want := d.Score(Audit{Sessions: c.ss}), referenceGainScore(d, Audit{Sessions: c.ss}); got != want {
+				t.Errorf("%s (zero %v): Score = %v, reference %v", c.name, d.ZeroGainJ, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 500; trial++ {
+		ss := make([]SessionObs, rng.Intn(60))
+		for i := range ss {
+			ss[i] = sess(wrsn.NodeID(rng.Intn(4)), float64(100*rng.Intn(5)), 100, float64(rng.Intn(3))*40, true)
+		}
+		in := append([]SessionObs(nil), ss...)
+		d := GainDetector{}
+		if got, want := d.Score(Audit{Sessions: ss}), referenceGainScore(d, Audit{Sessions: in}); got != want {
+			t.Fatalf("trial %d: Score = %v, reference %v on %v", trial, got, want, in)
+		}
+		for i := range ss {
+			if ss[i] != in[i] {
+				t.Fatalf("trial %d: Score reordered its input", trial)
+			}
+		}
 	}
 }
 

@@ -110,29 +110,6 @@ func (nw *Network) AdvanceEnergy(dt float64) []NodeID {
 	return died
 }
 
-// AdvanceEnergyIn is AdvanceEnergy restricted to the given node IDs,
-// appending deaths to died (in ids order) and returning it. It touches
-// only those nodes' dense slots and no shared scratch, so concurrent
-// calls over disjoint ID sets are race-free — the sharded world stepper
-// drains grid-region shards in parallel this way and merges the per-shard
-// death lists deterministically.
-func (nw *Network) AdvanceEnergyIn(ids []NodeID, dt float64, died []NodeID) []NodeID {
-	if dt <= 0 {
-		return died
-	}
-	for _, id := range ids {
-		i := int(id)
-		if !nw.aliveIdx(i) {
-			continue
-		}
-		nw.bats[i].Drain(nw.drainW[i] * dt)
-		if nw.bats[i].Depleted() {
-			died = append(died, id)
-		}
-	}
-	return died
-}
-
 // NextDepletion returns the soonest projected death time among alive nodes
 // starting from now, and the node that dies then. When no node will die it
 // returns (+Inf, ParentNone). Ties go to the lowest ID (strict < over an
@@ -156,11 +133,25 @@ func (nw *Network) NextDepletion(now float64) (float64, NodeID) {
 	return best, who
 }
 
-// NextDepletionIn is NextDepletion restricted to the given node IDs
-// (which must be ascending for the lowest-ID tie rule to match the full
-// scan). It performs only reads of the nodes' dense slots, so concurrent
-// calls over disjoint ID sets are race-free.
-func (nw *Network) NextDepletionIn(ids []NodeID, now float64) (float64, NodeID) {
+// StepKernel is the world step's fused per-node pass over ids, which
+// must be ascending. For every node alive before the step it does in one
+// sweep what AdvanceEnergy(dt), NextDepletion(next) and the request
+// threshold test would do in three:
+//
+//   - it drains the node by drainW·dt; a node that empties is appended to
+//     died;
+//   - a survivor with a positive drain folds next + level/drain into a
+//     strict-< (so lowest-ID) argmin, returned as (t, who);
+//   - a survivor at or below reqFrac of its capacity is appended to low.
+//
+// next is the post-step clock; it is passed rather than derived because
+// now+dt need not round to it. Both lists come back ascending, and the
+// results are bit-identical to the separate passes (the float
+// expressions are theirs). With dt <= 0 nothing drains, so the pass is
+// exactly NextDepletion(next) plus the threshold scan. The kernel writes
+// only the listed nodes' battery slots and reads no shared scratch, so
+// concurrent calls over disjoint ID sets are race-free.
+func (nw *Network) StepKernel(ids []NodeID, dt, next, reqFrac float64, died, low []NodeID) ([]NodeID, []NodeID, float64, NodeID) {
 	best := math.Inf(1)
 	who := ParentNone
 	for _, id := range ids {
@@ -168,14 +159,21 @@ func (nw *Network) NextDepletionIn(ids []NodeID, now float64) (float64, NodeID) 
 		if !nw.aliveIdx(i) {
 			continue
 		}
+		b := &nw.bats[i]
 		drain := nw.drainW[i]
-		if drain <= 0 {
+		b.Drain(drain * dt)
+		if b.Depleted() {
+			died = append(died, id)
 			continue
 		}
-		t := now + nw.bats[i].Level()/drain
-		if t < best {
-			best, who = t, id
+		if drain > 0 {
+			if t := next + b.Level()/drain; t < best {
+				best, who = t, id
+			}
+		}
+		if b.Level() <= reqFrac*b.Capacity() {
+			low = append(low, id)
 		}
 	}
-	return best, who
+	return died, low, best, who
 }

@@ -7,9 +7,9 @@ import "sort"
 // row-major bucket order (spatially adjacent nodes land together) and cut
 // into contiguous runs, so a shard's nodes cluster in the field and its
 // battery/forecast scans stream neighboring rows of the dense storage.
-// IDs are ascending within each shard — the order AdvanceEnergyIn and
-// NextDepletionIn need for their deterministic merge rules. The
-// partition depends only on node positions, so it is stable across runs.
+// IDs are ascending within each shard — the order StepKernel needs for
+// its deterministic merge rules. The partition depends only on node
+// positions, so it is stable across runs.
 func (nw *Network) RegionShards(k int) [][]NodeID {
 	n := len(nw.nodes)
 	if k > n {
