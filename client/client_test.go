@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/reprolab/wrsn-csa/client"
+	"github.com/reprolab/wrsn-csa/internal/faults"
 	"github.com/reprolab/wrsn-csa/internal/jobspec"
 	"github.com/reprolab/wrsn-csa/internal/obs"
 	"github.com/reprolab/wrsn-csa/internal/service"
@@ -190,6 +192,12 @@ func TestClientBackpressureAndErrors(t *testing.T) {
 	bad.Campaign.Solver = "definitely-not-a-solver"
 	if _, err := c.Submit(ctx, bad); !errors.As(err, &apiErr) || apiErr.StatusCode != 400 {
 		t.Errorf("invalid spec returned %v, want 400 *APIError", err)
+	}
+	lossy := quickSpec(0)
+	lossy.Faults = &faults.Spec{RequestLossProb: 1.5}
+	if _, err := c.Submit(ctx, lossy); !errors.As(err, &apiErr) || apiErr.StatusCode != 400 ||
+		!strings.Contains(apiErr.Error(), "RequestLossProb") {
+		t.Errorf("loss probability 1.5 returned %v, want 400 *APIError naming the field", err)
 	}
 
 	if h, err := c.Health(ctx); err != nil || h.Workers != 1 {

@@ -152,17 +152,23 @@ func compact(in *Instance, route []int) {
 // marginal joule: each round inserts the site and position with the best
 // ratio, ties going to the lower site index, then the lower position.
 //
-// The packer is lazy. It caches each unused site's best insertion and,
-// after each round, re-checks only what the round can have changed. The
-// cost of inserting a site into an edge depends only on the edge's two
-// ends, and an insertion elsewhere only makes every other edge harder to
-// use: later arrivals, less slack, less budget (Validate keeps durations,
-// powers and travel costs non-negative). So a cached edge that
-// still fits stays its site's best among the old edges, and only the
-// round's two new edges can beat it; a site is rescanned only when its
-// edge was split or has stopped fitting. A site that fits nowhere is
-// dropped: by the triangle inequality, fitting it next to the inserted
-// site x, on either side, implies it fitted the edge x split.
+// The packer is lazy. The cost of inserting a site into an edge depends
+// only on the edge's two ends, and an insertion elsewhere only makes
+// every other edge harder to use: later arrivals, less slack, less budget
+// (Validate keeps durations, powers and travel costs non-negative). So
+// no old edge's ratio ever rises, and each unused site keeps a value that
+// is at least the ratio of every feasible insertion into the current
+// route. While the site is fresh the value is exact, with its slot; a
+// fresh site whose cached edge still fits needs only the round's two new
+// edges offered. A site whose edge was split or stopped fitting goes
+// stale instead of being rescanned: its ratio stays as the bound, and a
+// new edge that strictly beats the bound is exact and makes it fresh.
+// Selection takes the argmax by (value desc, idx asc); a stale pick is
+// rescanned and the selection repeated, so only a fresh pick, whose
+// exact ratio ties or beats every other site's, is inserted. A site
+// that fits nowhere is dropped: by the triangle inequality, fitting it
+// next to an inserted site, on either side, implies it fitted the edge
+// that site split.
 func packCovers(in *Instance, route []int) []int {
 	rs := newRouteState(in)
 	if !rs.Recompute(route) {
@@ -193,6 +199,10 @@ func packCovers(in *Instance, route []int) []int {
 				pick = idx
 			}
 		}
+		if best[pick].stale {
+			best[pick] = scanCover(rs, pick)
+			continue
+		}
 		a, pos := best[pick].from, best[pick].pos
 		best[pick] = coverSlot{}
 		route = insertAt(route, pos, pick)
@@ -207,7 +217,7 @@ func packCovers(in *Instance, route []int) []int {
 			if b.ratio == 0 {
 				continue // the site just placed
 			}
-			if b.from != a {
+			if !b.stale && b.from != a {
 				b.pos = at[b.from+1]
 				if _, ok := rs.CheckInsert(b.pos, idx); ok {
 					b.offer(rs, idx, pos)
@@ -215,7 +225,15 @@ func packCovers(in *Instance, route []int) []int {
 					continue
 				}
 			}
-			*b = scanCover(rs, idx) // its edge was split or stopped fitting
+			b.stale = true // its edge was split or stopped fitting, or it was stale
+			// Only a new edge that strictly beats the bound is known to
+			// be the site's best: an old edge may still tie the bound.
+			var nb coverSlot
+			nb.offer(rs, idx, pos)
+			nb.offer(rs, idx, pos+1)
+			if nb.ratio > b.ratio {
+				*b = nb
+			}
 		}
 	}
 }
@@ -223,10 +241,12 @@ func packCovers(in *Instance, route []int) []int {
 // coverSlot is a site's best insertion into the current route: the edge
 // is named by its from-endpoint (-1 for the depot), which survives
 // insertions elsewhere; pos is where that edge sits. ratio 0 means no
-// position fits.
+// position fits. A stale slot's ratio is only an upper bound on the
+// site's best ratio, and its edge is meaningless.
 type coverSlot struct {
 	ratio     float64
 	from, pos int
+	stale     bool
 }
 
 // offer replaces the slot with the insertion of idx at pos when that is

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -345,6 +346,51 @@ func TestPackCoversMatchesReferenceOnEdgeCases(t *testing.T) {
 	packed := 0
 	for seed := int64(0); seed < 300; seed++ {
 		packed += checkPackCovers(t, packInstance(seed, 3+int(seed%48)))
+	}
+	if packed == 0 {
+		t.Fatal("no instance packed a cover; the comparison is vacuous")
+	}
+}
+
+// tieInstance builds a packer instance made of exact ratio ties: every
+// cover has the same duration, power and utility, so its ratio depends
+// on the travel it adds alone, and every site sits on a 2×2 grid of
+// 100-m spacing, so whole families of sites and edges add
+// bit-identical travel. Every sixth site is a key-node target with a
+// 3,000-s window and every third cover has a window cut to whole
+// kiloseconds; the rest are loose. The tight windows make cached edges
+// stop fitting while tied edges elsewhere still fit, so stale bounds
+// meet new edges and other sites' exact ratios at equal values.
+func tieInstance(seed int64, sites int) *Instance {
+	in := fuzzInstance(seed, sites)
+	in.Depot, in.SpeedMps, in.RadiateW = geom.Pt(0, 0), 1, 0
+	for i := range in.Sites {
+		s := &in.Sites[i]
+		s.Pos = geom.Pt(math.Floor(s.Pos.X/500)*100, math.Floor(s.Pos.Y/500)*100)
+		s.Dur, s.PowerW, s.UtilJ = 600, 50, 5000
+		r, d := math.Floor(s.Window.R/1000)*1000, math.Floor(s.Window.D/1000)*1000
+		switch {
+		case i%6 == 0:
+			s.Mandatory, s.Kind, s.UtilJ = true, VisitSpoof, 0
+			s.Window = Window{R: r, D: r + 3000}
+		case i%3 == 1:
+			s.Window = Window{R: r, D: d}
+		default:
+			s.Window = Window{R: 0, D: 1e7}
+		}
+	}
+	return in
+}
+
+// The lazy packer's tie rules must reproduce the full rescan on
+// instances where ties are the rule. A stale site turns fresh only on a
+// new edge that strictly beats its bound (on an equal one, an old edge
+// at a lower position may still tie it), and on equal values the lower
+// index wins even when it is stale and has to be rescanned first.
+func TestPackCoversMatchesReferenceOnTies(t *testing.T) {
+	packed := 0
+	for seed := int64(0); seed < 400; seed++ {
+		packed += checkPackCovers(t, tieInstance(seed, 5+int(seed%60)))
 	}
 	if packed == 0 {
 		t.Fatal("no instance packed a cover; the comparison is vacuous")

@@ -171,8 +171,10 @@ func (s Spec) validate() (*snapshot.Snapshot, error) {
 	if _, err = s.scheduler(); err != nil {
 		return nil, err
 	}
-	if s.Faults != nil && s.Faults.RequestLossProb < 0 {
-		return nil, fmt.Errorf("jobspec: negative request-loss probability %v", s.Faults.RequestLossProb)
+	// The fault plan clamps the loss probability to [0, 0.95], but a NaN
+	// would never lose a request, so anything outside [0, 1] is an error.
+	if s.Faults != nil && !(s.Faults.RequestLossProb >= 0 && s.Faults.RequestLossProb <= 1) {
+		return nil, fmt.Errorf("jobspec: faults.RequestLossProb must be a probability in [0, 1], got %v", s.Faults.RequestLossProb)
 	}
 	return snap, nil
 }

@@ -2,6 +2,7 @@ package jobspec
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,6 +91,12 @@ func TestValidate(t *testing.T) {
 		{"no nodes", func(s *Spec) { s.Scenario.Deploy.N = 0 }, "node count"},
 		{"unknown solver", func(s *Spec) { s.Campaign.Solver = "Oracle" }, "solver"},
 		{"unknown scheduler", func(s *Spec) { s.Campaign.Scheduler = "LIFO" }, "scheduler"},
+		{"loss probability one", func(s *Spec) { s.Faults = &faults.Spec{RequestLossProb: 1} }, ""},
+		{"negative loss probability", func(s *Spec) { s.Faults = &faults.Spec{RequestLossProb: -0.1} }, "faults.RequestLossProb"},
+		{"loss probability above one", func(s *Spec) { s.Faults = &faults.Spec{RequestLossProb: 1.5} }, "faults.RequestLossProb"},
+		{"NaN loss probability", func(s *Spec) { s.Faults = &faults.Spec{RequestLossProb: math.NaN()} }, "faults.RequestLossProb"},
+		{"infinite loss probability", func(s *Spec) { s.Faults = &faults.Spec{RequestLossProb: math.Inf(1)} }, "faults.RequestLossProb"},
+		{"negative infinite loss probability", func(s *Spec) { s.Faults = &faults.Spec{RequestLossProb: math.Inf(-1)} }, "faults.RequestLossProb"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
